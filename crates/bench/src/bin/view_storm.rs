@@ -87,5 +87,9 @@ fn main() {
         "  acceptance ratio   : {:.4} (peak CDN {:.0} Mbps)",
         outcome.acceptance_ratio, outcome.peak_cdn_mbps
     );
+    println!(
+        "  resync visits      : {} ({} recomputed)",
+        outcome.resync_visits, outcome.resync_recomputes
+    );
     telecast_bench::emit_with_wall(&outcome.figure, wall);
 }

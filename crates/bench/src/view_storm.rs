@@ -99,6 +99,11 @@ pub struct ViewStormOutcome {
     pub acceptance_ratio: f64,
     /// Peak CDN outbound usage in Mbps.
     pub peak_cdn_mbps: f64,
+    /// §VI resync visits under the visit cap (work counter; printed,
+    /// never exported).
+    pub resync_visits: u64,
+    /// Resync visits that recomputed a viewer's layers.
+    pub resync_recomputes: u64,
 }
 
 /// The scenario's session configuration: the paper's setup with the
@@ -242,6 +247,8 @@ pub fn run_view_storm(scenario: &ViewStormScenario) -> ViewStormOutcome {
         reclaimed_mbps: m.prune_reclaimed_kbps.value() as f64 / 1_000.0,
         acceptance_ratio: m.acceptance_ratio(),
         peak_cdn_mbps: m.peak_cdn_mbps(),
+        resync_visits: m.resync_visits.value(),
+        resync_recomputes: m.resync_recomputes.value(),
         figure,
     }
 }
@@ -284,6 +291,16 @@ mod tests {
             outcome.fragments_merged > 0,
             "storms fragmented trees but nothing merged"
         );
+        // The incremental resync skips visits whose inputs did not
+        // change, and its work counters stay out of the figure.
+        assert!(outcome.resync_recomputes > 0, "storms triggered no resync");
+        assert!(
+            outcome.resync_recomputes < outcome.resync_visits,
+            "{} recomputes for {} visits",
+            outcome.resync_recomputes,
+            outcome.resync_visits
+        );
+        assert!(!outcome.figure.to_json().contains("resync"));
     }
 
     /// Equal scenarios produce equal outcomes (the JSON byte-identity

@@ -65,8 +65,19 @@ pub struct SessionMetrics {
     pub cdn_utilisation: TimeSeries,
     /// Connected population over time, sampled by the GSC monitor event.
     pub population: TimeSeries,
-    /// Times the subscription-chain damping cap was hit (should stay 0).
+    /// §VI resync visits dropped because one viewer exceeded
+    /// `RESYNC_VISIT_CAP` visits within a single pass. Non-zero wherever
+    /// positive-gain cross-stream cycles keep a chain climbing (about
+    /// 495 k per `view_storm` benchmark repetition at seed 1); see ROADMAP
+    /// item 1.
     pub resync_cap_hits: Counter,
+    /// §VI resync visits popped from the propagation queue under the
+    /// visit cap (deterministic work counter).
+    pub resync_visits: Counter,
+    /// Resync visits that recomputed the viewer's layers; the rest were
+    /// skipped because nothing the recompute reads had changed since
+    /// the viewer was last stamped clean.
+    pub resync_recomputes: Counter,
     /// Viewers admitted by the churn runtime (arrival events that issued
     /// a join).
     pub churn_arrivals: Counter,
@@ -134,6 +145,8 @@ impl SessionMetrics {
             cdn_utilisation: TimeSeries::new(),
             population: TimeSeries::new(),
             resync_cap_hits: Counter::new("resync_cap_hits"),
+            resync_visits: Counter::new("resync_visits"),
+            resync_recomputes: Counter::new("resync_recomputes"),
             churn_arrivals: Counter::new("churn_arrivals"),
             churn_departures: Counter::new("churn_departures"),
             churn_failures: Counter::new("churn_failures"),

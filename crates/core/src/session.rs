@@ -38,8 +38,25 @@ use crate::monitor::GscMonitor;
 use crate::viewer::{StreamSub, ViewerState, ViewerStatus};
 use telecast_media::FrameNumber;
 
-/// Damping cap for subscription-chain propagation per structural change.
+/// Damping cap for subscription-chain propagation: visits of one viewer
+/// per resync pass beyond this are dropped (and counted in
+/// `SessionMetrics::resync_cap_hits`).
 const RESYNC_VISIT_CAP: usize = 8;
+
+/// Streams whose layers `plan_resync` pushes down on the stack; more
+/// spill to the heap.
+const STACK_STREAMS: usize = 32;
+
+/// What one §VI resync recompute would write for one subscription.
+#[derive(Debug, Clone, Copy)]
+struct ResyncPlan {
+    stream: StreamId,
+    parent: TreeParent,
+    base_e2e: SimDuration,
+    layer: u64,
+    e2e: SimDuration,
+    pushed_down: bool,
+}
 
 /// How many times one viewer's parked join may be retried before it is
 /// given up on. Bounds viewers whose rejection is *not* a pool-capacity
@@ -220,6 +237,7 @@ impl SessionBuilder {
         // reallocates (and copies) the heap a dozen times mid-run.
         let event_capacity = self.viewer_count + self.viewer_count / 4 + 64;
         let retry_capacity = (self.viewer_count / pool_slots.max(1) / 8).max(16);
+        let node_count = registry.len();
         TelecastSession {
             cdn,
             monitor,
@@ -256,6 +274,9 @@ impl SessionBuilder {
             retry_parked: FxHashSet::default(),
             retry_counts: FxHashMap::default(),
             connected_count: 0,
+            resync_generation: 0,
+            resync_clean: vec![0; node_count],
+            resync_plan: Vec::new(),
             shard: None,
             config,
         }
@@ -379,6 +400,15 @@ pub struct TelecastSession {
     /// Maintained count of viewers in [`ViewerStatus::Connected`] — the
     /// population the monitor samples without scanning the pool.
     connected_count: usize,
+    /// The §VI resync generation. It moves at every resync pass and
+    /// after every structural mutation a pass can trigger, so a stamp
+    /// equal to it proves nothing a recompute reads has changed.
+    resync_generation: u64,
+    /// Per node (indexed by [`NodeId::index`]): the resync generation in
+    /// which the viewer was last stamped clean; 0 is never clean.
+    resync_clean: Vec<u64>,
+    /// The plan buffer `resync_viewer` reuses across visits.
+    resync_plan: Vec<ResyncPlan>,
     /// Sharded-mode context, installed when this session is one shard of
     /// a [`crate::ShardedSession`]. `None` on the legacy single-loop
     /// path, which stays behaviourally untouched.
@@ -1228,6 +1258,29 @@ impl TelecastSession {
             .filter(|v| v.status == ViewerStatus::Connected)
             .filter_map(|v| v.max_layer())
             .collect()
+    }
+
+    /// Audits the §VI delay-layer fixpoint: the number of connected
+    /// viewers that one more resync recompute would change (a new
+    /// parent, delay or layer on some stream, or a CDN reroute or drop).
+    /// A pass stopped by the resync visit cap can leave viewers off the
+    /// fixpoint (see [`SessionMetrics::resync_cap_hits`]); so can a
+    /// drift-epoch change the adaptation tick has not yet seen. Always 0
+    /// under the Random baseline, which runs no resync.
+    pub fn layer_fixpoint_violations(&self) -> usize {
+        if matches!(self.config.placement, PlacementStrategy::Random { .. }) {
+            return 0;
+        }
+        let mut plan = Vec::new();
+        self.viewers
+            .values()
+            .filter(|v| {
+                v.view.is_some_and(|view| {
+                    self.plan_resync(v.node, view, self.scope_of(v.region), &mut plan)
+                        && !self.plan_is_applied(v.node, &plan)
+                })
+            })
+            .count()
     }
 
     /// Number of received streams per viewer that attempted a join,
@@ -2475,6 +2528,7 @@ impl TelecastSession {
                 }
             }
         }
+        self.resync_generation += 1;
     }
 
     /// Victims in the Random baseline: CDN or drop (the scheme has no
@@ -2644,6 +2698,7 @@ impl TelecastSession {
             }
         }
         self.propagate_resync(view, scope, vec![viewer]);
+        self.resync_generation += 1;
     }
 
     /// Drops `stream` at `viewer` entirely (layer violation or failed
@@ -2679,6 +2734,8 @@ impl TelecastSession {
         if !victims.is_empty() {
             self.recover_victims(stream, view, scope, victims);
         }
+        // Tree and subscription changes: no resync stamp survives them.
+        self.resync_generation += 1;
     }
 
     // ------------------------------------------------------------------
@@ -2686,10 +2743,28 @@ impl TelecastSession {
     // ------------------------------------------------------------------
 
     /// Recomputes delays and layers for the seed viewers and propagates
-    /// along the affected subtrees until quiescent.
+    /// them down the affected subtrees, FIFO. The pass ends when the
+    /// queue drains; a viewer's visits past `RESYNC_VISIT_CAP` are
+    /// dropped, so a pass that hits the cap can end off the §VI
+    /// fixpoint (see [`TelecastSession::layer_fixpoint_violations`]).
+    ///
+    /// The pass is incremental and exact. A recompute of viewer `w`
+    /// reads only its tree parents, each parent's `e2e` on that stream,
+    /// `one_way(now, parent, w)` and its own stored CDN `base_e2e`, and
+    /// rerunning it on the same inputs writes nothing. So a recompute
+    /// stamps `w` clean with the generation read before it, unless it
+    /// rerouted a stream to the CDN (which moves `w`'s own inputs). A
+    /// later visit in the same generation is still counted against the
+    /// cap but skips the recompute. The generation moves at every pass,
+    /// since time may have moved, and after every structural mutation a
+    /// pass can trigger (`drop_stream`, `recover_victims`,
+    /// `after_reposition`); a changed stream clears the stamps of the
+    /// children it enqueues.
     fn propagate_resync(&mut self, view: ViewId, scope: usize, seeds: Vec<NodeId>) {
-        let mut queue: std::collections::VecDeque<NodeId> = seeds.into_iter().collect();
+        self.resync_generation += 1;
+        let mut queue: VecDeque<NodeId> = seeds.into_iter().collect();
         let mut visits: FxHashMap<NodeId, usize> = FxHashMap::default();
+        let mut changed = Vec::new();
         while let Some(w) = queue.pop_front() {
             let count = visits.entry(w).or_insert(0);
             *count += 1;
@@ -2697,52 +2772,69 @@ impl TelecastSession {
                 self.metrics.resync_cap_hits.incr();
                 continue;
             }
-            let changed_streams = self.resync_viewer(w, view, scope);
-            if changed_streams.is_empty() {
+            self.metrics.resync_visits.incr();
+            if self.resync_clean[w.index()] == self.resync_generation {
+                debug_assert!(
+                    self.resync_is_noop(w, view, scope),
+                    "skipped resync visit of {w:?} would change its subscriptions"
+                );
                 continue;
             }
-            self.metrics
-                .subscription_messages
-                .add(changed_streams.len() as u64);
+            self.metrics.resync_recomputes.incr();
+            self.resync_viewer(w, view, scope, &mut changed);
+            if changed.is_empty() {
+                continue;
+            }
+            self.metrics.subscription_messages.add(changed.len() as u64);
             if let Some(g) = self.scopes[scope].group(view) {
-                for sid in &changed_streams {
+                for sid in &changed {
                     if let Some(t) = g.tree(*sid) {
-                        queue.extend(t.children_of(w));
+                        for child in t.children_of(w) {
+                            self.resync_clean[child.index()] = 0;
+                            queue.push_back(child);
+                        }
                     }
                 }
             }
-            // A change (e.g. a §VI CDN reroute) shifts this viewer's own
-            // push-down baseline: revisit once more to reach a fixpoint.
+            // A §VI CDN reroute shifts this viewer's own push-down
+            // baseline: revisit once more to reach a fixpoint (without a
+            // reroute the revisit finds the viewer clean).
             queue.push_back(w);
         }
     }
 
-    /// Recomputes one viewer's delay layers from the trees' current
-    /// structure (the source of truth for parents — a displacement may
-    /// have changed them); returns the streams whose effective delay
-    /// changed.
-    fn resync_viewer(&mut self, viewer: NodeId, view: ViewId, scope: usize) -> Vec<StreamId> {
+    /// Pass 1 and push-down of the §VI resync, read-only: fills `plan`
+    /// with what a recompute of `viewer` would write, one entry per
+    /// subscription in stream order. Returns false, with `plan` empty,
+    /// when the viewer is not connected to `view`.
+    fn plan_resync(
+        &self,
+        viewer: NodeId,
+        view: ViewId,
+        scope: usize,
+        plan: &mut Vec<ResyncPlan>,
+    ) -> bool {
+        plan.clear();
         let Some(state) = self.viewers.get(&viewer) else {
-            return Vec::new();
+            return false;
         };
         if state.status != ViewerStatus::Connected || state.view != Some(view) {
-            return Vec::new();
+            return false;
         }
-        // Pass 1: read current parents from the trees, recompute base
-        // delays (CDN-parented streams keep their stored delay — victims
-        // stay at their layer). Each entry starts at its natural layer
-        // with effective delay = base; layering adjusts both below.
+        // Read current parents from the trees (the source of truth — a
+        // displacement may have changed them) and recompute base delays
+        // (CDN-parented streams keep their stored delay — victims stay
+        // at their layer). Each entry starts at its natural layer with
+        // effective delay = base; layering adjusts both below.
         let group = self.scopes[scope].group(view);
         let now = self.engine.now();
-        let mut finals: Vec<(StreamId, TreeParent, SimDuration, u64, SimDuration, bool)> =
-            Vec::with_capacity(state.subs.len());
         for (&sid, sub) in &state.subs {
-            let tree_parent = group
+            let parent = group
                 .and_then(|g| g.tree(sid))
                 .and_then(|t| t.parent_of(viewer))
                 .unwrap_or(sub.parent);
-            let (base, parent) = match tree_parent {
-                TreeParent::Cdn => (sub.base_e2e, tree_parent),
+            let base = match parent {
+                TreeParent::Cdn => sub.base_e2e,
                 TreeParent::Viewer(p) => {
                     let pe2e = self
                         .viewers
@@ -2750,77 +2842,135 @@ impl TelecastSession {
                         .and_then(|pv| pv.subs.get(&sid))
                         .map(|ps| ps.e2e)
                         .unwrap_or(self.scheme.delta());
-                    let d = pe2e + self.delays.one_way(now, p, viewer) + self.config.hop_processing;
-                    (d, tree_parent)
+                    pe2e + self.delays.one_way(now, p, viewer) + self.config.hop_processing
                 }
             };
-            let layer = self.scheme.layer_of_delay(base);
-            finals.push((sid, parent, base, layer, base, false));
+            plan.push(ResyncPlan {
+                stream: sid,
+                parent,
+                base_e2e: base,
+                layer: self.scheme.layer_of_delay(base),
+                e2e: base,
+                pushed_down: false,
+            });
+        }
+        if !self.config.layering_enabled {
+            return true;
         }
         // Effective delays: layer push-down plus the residual delayed
         // receive that makes the dbuff bound exact (see process_join).
-        if self.config.layering_enabled {
-            let mut layers: Vec<u64> = finals.iter().map(|&(_, _, _, l, _, _)| l).collect();
-            self.scheme.push_down(&mut layers);
-            for (entry, &l) in finals.iter_mut().zip(layers.iter()) {
-                let natural = self.scheme.layer_of_delay(entry.2);
-                entry.3 = l;
-                entry.5 = l > natural;
-                entry.4 = if entry.5 {
-                    self.scheme.delay_at_top_of(l)
-                } else {
-                    entry.2
-                };
+        let mut stack = [0u64; STACK_STREAMS];
+        let mut heap = Vec::new();
+        let layers: &mut [u64] = if plan.len() <= STACK_STREAMS {
+            &mut stack[..plan.len()]
+        } else {
+            heap.resize(plan.len(), 0);
+            &mut heap
+        };
+        for (layer, entry) in layers.iter_mut().zip(plan.iter()) {
+            *layer = entry.layer;
+        }
+        self.scheme.push_down(layers);
+        for (entry, &layer) in plan.iter_mut().zip(layers.iter()) {
+            if layer > entry.layer {
+                entry.layer = layer;
+                entry.e2e = self.scheme.delay_at_top_of(layer);
+                entry.pushed_down = true;
             }
-            if let Some(deepest) = finals.iter().map(|&(_, _, _, _, e, _)| e).max() {
-                for entry in finals.iter_mut() {
-                    if deepest - entry.4 > self.config.dbuff {
-                        entry.4 = deepest - self.config.dbuff;
-                        entry.3 = self.scheme.layer_of_delay(entry.4);
-                        entry.5 = true;
-                    }
+        }
+        if let Some(deepest) = plan.iter().map(|e| e.e2e).max() {
+            for entry in plan.iter_mut() {
+                if deepest - entry.e2e > self.config.dbuff {
+                    entry.e2e = deepest - self.config.dbuff;
+                    entry.layer = self.scheme.layer_of_delay(entry.e2e);
+                    entry.pushed_down = true;
                 }
             }
         }
+        true
+    }
 
+    /// Whether applying `plan` to `viewer` would write nothing: every
+    /// planned stream is within the admissible layers (no reroute or
+    /// drop) and equals the stored subscription.
+    fn plan_is_applied(&self, viewer: NodeId, plan: &[ResyncPlan]) -> bool {
+        let subs = &self.viewers[&viewer].subs;
+        plan.iter().all(|e| {
+            !(self.config.layering_enabled && e.layer > self.scheme.max_layer())
+                && subs.get(&e.stream).is_some_and(|sub| {
+                    sub.parent == e.parent
+                        && sub.base_e2e == e.base_e2e
+                        && sub.e2e == e.e2e
+                        && sub.layer == e.layer
+                        && sub.pushed_down == e.pushed_down
+                })
+        })
+    }
+
+    /// Whether a resync visit of `viewer` would change nothing — the
+    /// check behind every skipped visit in debug builds.
+    fn resync_is_noop(&self, viewer: NodeId, view: ViewId, scope: usize) -> bool {
+        let mut plan = Vec::new();
+        !self.plan_resync(viewer, view, scope, &mut plan) || self.plan_is_applied(viewer, &plan)
+    }
+
+    /// Recomputes one viewer's delay layers and applies them; fills
+    /// `changed` with the streams whose effective delay or layer moved.
+    fn resync_viewer(
+        &mut self,
+        viewer: NodeId,
+        view: ViewId,
+        scope: usize,
+        changed: &mut Vec<StreamId>,
+    ) {
+        changed.clear();
+        let generation = self.resync_generation;
+        let mut plan = std::mem::take(&mut self.resync_plan);
+        if !self.plan_resync(viewer, view, scope, &mut plan) {
+            self.resync_plan = plan;
+            return;
+        }
         // Pass 2: apply; collect changes, stale leases, §VI CDN reroutes
         // for over-limit streams, and drops when the pool is full too.
-        let mut changed = Vec::new();
         let mut drops = Vec::new();
         let mut reroutes: Vec<StreamId> = Vec::new();
         let mut stale_leases = Vec::new();
+        let max_layer = self.scheme.max_layer();
         {
             let v = self.viewers.get_mut(&viewer).expect("viewer exists");
-            for (sid, parent, base, layer, e2e, pushed) in finals {
-                let max_layer = self.scheme.max_layer();
-                if self.config.layering_enabled && layer > max_layer {
-                    if matches!(parent, TreeParent::Viewer(_)) {
+            for (entry, (&sid, sub)) in plan.iter().zip(v.subs.iter_mut()) {
+                debug_assert_eq!(entry.stream, sid, "plan follows stream order");
+                if self.config.layering_enabled && entry.layer > max_layer {
+                    if matches!(entry.parent, TreeParent::Viewer(_)) {
                         reroutes.push(sid);
                     } else {
                         drops.push(sid);
                     }
                     continue;
                 }
-                let sub = v.subs.get_mut(&sid).expect("planned sub exists");
-                if sub.parent != parent {
+                if sub.parent != entry.parent {
                     // Displaced off the CDN root into a viewer's slot: the
                     // lease is no longer needed.
-                    if let (TreeParent::Viewer(_), Some(lease)) = (parent, sub.lease.take()) {
+                    if let (TreeParent::Viewer(_), Some(lease)) = (entry.parent, sub.lease.take()) {
                         stale_leases.push(lease);
                     }
-                    sub.parent = parent;
+                    sub.parent = entry.parent;
                 }
-                if sub.e2e != e2e || sub.layer != layer {
+                if sub.e2e != entry.e2e || sub.layer != entry.layer {
                     changed.push(sid);
                 }
-                sub.base_e2e = base;
-                sub.e2e = e2e;
-                sub.layer = layer;
-                sub.pushed_down = pushed;
+                sub.base_e2e = entry.base_e2e;
+                sub.e2e = entry.e2e;
+                sub.layer = entry.layer;
+                sub.pushed_down = entry.pushed_down;
             }
         }
+        self.resync_plan = plan;
         for lease in stale_leases {
             self.cdn.release(lease);
+        }
+        if reroutes.is_empty() {
+            self.resync_clean[viewer.index()] = generation;
         }
         // §VI: "if the parent is another viewer, then LSC first tries to
         // provision the stream from the CDN" — only drop when the pool is
@@ -2855,7 +3005,6 @@ impl TelecastSession {
         for sid in drops {
             self.drop_stream(viewer, sid, view, scope);
         }
-        changed
     }
 
     // ------------------------------------------------------------------

@@ -420,6 +420,17 @@ impl ShardedSession {
                 .victims_repositioned
                 .add(m.victims_repositioned.value());
             merged.resync_cap_hits.add(m.resync_cap_hits.value());
+            merged.resync_visits.add(m.resync_visits.value());
+            merged.resync_recomputes.add(m.resync_recomputes.value());
+            merged.switch_starved.add(m.switch_starved.value());
+            merged
+                .wasted_subtree_kbps_ms
+                .add(m.wasted_subtree_kbps_ms.value());
+            merged.fragments_merged.add(m.fragments_merged.value());
+            merged.groups_retired.add(m.groups_retired.value());
+            merged
+                .prune_reclaimed_kbps
+                .add(m.prune_reclaimed_kbps.value());
             merged.churn_arrivals.add(m.churn_arrivals.value());
             merged.churn_departures.add(m.churn_departures.value());
             merged.churn_failures.add(m.churn_failures.value());
@@ -434,6 +445,9 @@ impl ShardedSession {
             }
             for &v in m.view_change_delays_ms.sorted_samples() {
                 merged.view_change_delays_ms.record(v);
+            }
+            for &v in m.switch_latency_ms.sorted_samples() {
+                merged.switch_latency_ms.record(v);
             }
             merged.peak_event_queue = merged.peak_event_queue.max(m.peak_event_queue);
             merged.peak_retry_queue = merged.peak_retry_queue.max(m.peak_retry_queue);
@@ -581,6 +595,59 @@ mod tests {
             "spills must be answered"
         );
         assert!(m.spill_admits.value() <= m.spill_requests.value());
+    }
+
+    #[test]
+    fn merged_metrics_sum_view_change_and_prune_metrics() {
+        let config = small_config(5).with_prune_floor(8);
+        let mut s = ShardedSession::new(config, 300, 2, SimDuration::from_secs(10));
+        let views = s.shards[0].catalog().len() as u32;
+        for shard in &mut s.shards {
+            for (i, v) in shard.viewer_ids().to_vec().into_iter().enumerate() {
+                shard
+                    .request_join(v, ViewId::new(i as u32 % views))
+                    .expect("idle viewer joins");
+            }
+        }
+        s.run_until(SimTime::from_secs(30));
+        // Everyone re-focuses on view 0: the other views drain and prune.
+        for shard in &mut s.shards {
+            for v in shard.viewer_ids().to_vec() {
+                let _ = shard.request_view_change(v, ViewId::new(0));
+            }
+        }
+        s.run_until(SimTime::from_secs(90));
+        let merged = s.merged_metrics();
+        type Metric = fn(&SessionMetrics) -> u64;
+        let sum = |f: Metric| -> u64 { s.shards().iter().map(|sh| f(sh.metrics())).sum() };
+        let counters: [(&str, Metric); 8] = [
+            ("switch_starved", |m| m.switch_starved.value()),
+            ("wasted_subtree_kbps_ms", |m| {
+                m.wasted_subtree_kbps_ms.value()
+            }),
+            ("fragments_merged", |m| m.fragments_merged.value()),
+            ("groups_retired", |m| m.groups_retired.value()),
+            ("prune_reclaimed_kbps", |m| m.prune_reclaimed_kbps.value()),
+            ("resync_visits", |m| m.resync_visits.value()),
+            ("resync_recomputes", |m| m.resync_recomputes.value()),
+            ("switch_latency_samples", |m| {
+                m.switch_latency_ms.samples().len() as u64
+            }),
+        ];
+        for (name, f) in counters {
+            assert_eq!(f(&merged), sum(f), "{name} is not the sum over shards");
+        }
+        // Every metric but the starved count (the pool is ample) moved.
+        for (name, f) in counters.into_iter().skip(1) {
+            assert!(f(&merged) > 0, "{name} stayed 0: the run proves nothing");
+        }
+        let mut samples: Vec<f64> = s
+            .shards()
+            .iter()
+            .flat_map(|sh| sh.metrics().switch_latency_ms.samples().to_vec())
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        assert_eq!(merged.switch_latency_ms.sorted_samples(), &samples[..]);
     }
 
     #[test]

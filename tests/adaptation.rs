@@ -256,3 +256,23 @@ fn temporary_view_change_serves_are_always_reconciled() {
         );
     }
 }
+
+/// §VI fixpoint audit: once a run with no capped resync pass goes idle,
+/// one more resync recompute would change no viewer's layers.
+#[test]
+fn layers_reach_the_fixpoint_at_idle() {
+    let mut session = TelecastSession::builder(config(11)).viewers(120).build();
+    let mut rng = SimRng::seed_from_u64(12);
+    let workload = ViewerWorkload::builder(120, 8)
+        .arrivals(ArrivalModel::Staggered {
+            gap: SimDuration::from_millis(50),
+        })
+        .view_choice(ViewChoice::Zipf { s: 1.0 })
+        .view_changes(1.0, SimDuration::from_secs(30))
+        .build(&mut rng);
+    session.run_workload(&workload);
+    let m = session.metrics();
+    assert!(m.resync_visits.value() > 0, "the run triggered no resync");
+    assert_eq!(m.resync_cap_hits.value(), 0, "a resync pass hit the cap");
+    assert_eq!(session.layer_fixpoint_violations(), 0);
+}
